@@ -13,10 +13,11 @@ package lockss
 //
 // The workloads mirror the figure/table/ablation benchmarks in
 // bench_test.go at their first iteration (seed 1), one simulation run per
-// entry, so the guard stays a few seconds while covering the same hot path
-// the benches measure.
+// entry (two stacked layers for the layered entry), so the guard stays a few
+// seconds while covering the same hot path the benches measure.
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -111,6 +112,14 @@ func guardWorkloads() []struct {
 			cfg.Protocol.Desynchronize = false
 		}, brute(adversary.DefectRemaining))},
 		{"ablation-effort-balancing-on", run(nil, brute(adversary.DefectNone))},
+		// The layered run carries the replayed background load, so a
+		// per-query allocation on the slot search's background path shows.
+		{"table1-brute-force-layered", func() error {
+			cfg := benchWorld()
+			cfg.Seed = 1
+			_, err := experiment.RunLayered(context.Background(), cfg, brute(adversary.DefectRemaining), 2)
+			return err
+		}},
 		{"scale-large-7d", scaled(experiment.ScaleLarge, 7)},
 		{"scale-huge-7d", scaled(experiment.ScaleHuge, 7)},
 	}

@@ -2,8 +2,9 @@ package lockss
 
 // The benchmark harness: one benchmark per table/figure of the paper's
 // evaluation (each runs a representative data point of that experiment at
-// reduced scale and reports the paper's metrics), the ablation benches
-// DESIGN.md calls out, and micro-benchmarks of the substrates.
+// reduced scale and reports the paper's metrics), the ablation benches for
+// the design choices docs/ARCHITECTURE.md describes, and micro-benchmarks of
+// the substrates.
 //
 // Full-fidelity regeneration of every figure is the job of
 // cmd/lockss-sim (-scale paper); benchmarks must stay cheap enough to run
@@ -144,7 +145,7 @@ func BenchmarkTable1BruteForce(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md) -------------
+// --- Ablation benches (design choices described in docs/ARCHITECTURE.md) ---
 
 func BenchmarkAblationRefractory(b *testing.B) {
 	for _, days := range []int64{1, 4} {

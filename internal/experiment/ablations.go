@@ -9,9 +9,9 @@ import (
 	"lockss/internal/world"
 )
 
-// Ablation experiments probe the design choices DESIGN.md calls out. Each
-// is a registered Scenario rendering a Table in the style of the paper
-// figures.
+// Ablation experiments probe the design choices docs/ARCHITECTURE.md
+// describes. Each is a registered Scenario rendering a Table in the style of
+// the paper figures.
 
 // sustainedFlood builds the full-coverage admission flood that lasts the
 // whole run — the ablations' standard stressor.

@@ -64,10 +64,25 @@ func TestCombineLayers(t *testing.T) {
 	}
 }
 
+// drain collects the background stream a schedule query over [from, to)
+// would see.
+func drain(bg sched.Background, from, to sched.Time) []sched.Task {
+	var out []sched.Task
+	c := sched.BgCursor{From: from, To: to}
+	for {
+		t, next, ok := bg.Next(c)
+		if !ok {
+			return out
+		}
+		out = append(out, t)
+		c = next
+	}
+}
+
 func TestBgLoadDeterministicAndSorted(t *testing.T) {
 	bg := &bgLoad{seed: 42, ratePerNs: 1e-12, meanDurNs: 1e10, bucket: int64(sim.Day)}
-	a := bg.Tasks(0, sched.Time(10*sim.Day))
-	b := bg.Tasks(0, sched.Time(10*sim.Day))
+	a := drain(bg, 0, sched.Time(10*sim.Day))
+	b := drain(bg, 0, sched.Time(10*sim.Day))
 	if len(a) != len(b) {
 		t.Fatal("background load not deterministic")
 	}
@@ -82,7 +97,7 @@ func TestBgLoadDeterministicAndSorted(t *testing.T) {
 		}
 	}
 	// Sub-range queries agree with the full range.
-	sub := bg.Tasks(sched.Time(2*sim.Day), sched.Time(3*sim.Day))
+	sub := drain(bg, sched.Time(2*sim.Day), sched.Time(3*sim.Day))
 	for _, s := range sub {
 		found := false
 		for _, f := range a {
@@ -97,12 +112,38 @@ func TestBgLoadDeterministicAndSorted(t *testing.T) {
 	}
 }
 
+// TestBgLoadVisibleFromFirstBucket pins what a query sees: start-ordered,
+// possibly overlapping tasks from its From's bucket onward, never an earlier
+// bucket's task straddling From.
+func TestBgLoadVisibleFromFirstBucket(t *testing.T) {
+	bg := &bgLoad{seed: 9, ratePerNs: 1e-13, meanDurNs: 2 * float64(sim.Day), bucket: int64(sim.Day)}
+	all := drain(bg, 0, sched.Time(20*sim.Day))
+	overlaps, straddlers := 0, 0
+	from := sched.Time(5*sim.Day + sim.Day/2)
+	for i, a := range all {
+		if i > 0 && a.Start < all[i-1].End {
+			overlaps++
+		}
+		if a.Start < sched.Time(5*sim.Day) && a.End > from {
+			straddlers++
+		}
+	}
+	if overlaps == 0 || straddlers == 0 {
+		t.Fatalf("want overlapping tasks and straddlers of %d; got %d and %d", from, overlaps, straddlers)
+	}
+	for _, a := range drain(bg, from, sched.Time(20*sim.Day)) {
+		if a.Start < sched.Time(5*sim.Day) {
+			t.Fatalf("task [%d, %d) from an earlier bucket is visible from %d", a.Start, a.End, from)
+		}
+	}
+}
+
 func TestBgLoadRate(t *testing.T) {
 	// Expect ~rate * horizon tasks.
 	rate := 2e-13 // per ns => ~17 per day
 	bg := &bgLoad{seed: 7, ratePerNs: rate, meanDurNs: 1e9, bucket: int64(sim.Day)}
 	horizon := 30 * sim.Day
-	n := len(bg.Tasks(0, sched.Time(horizon)))
+	n := len(drain(bg, 0, sched.Time(horizon)))
 	want := rate * float64(horizon)
 	if math.Abs(float64(n)-want) > 0.25*want {
 		t.Errorf("background task count %d, want ~%.0f", n, want)

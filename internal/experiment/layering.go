@@ -19,23 +19,23 @@ import (
 // mean task duration, and feed layer n a deterministic Poisson background
 // load of (n-1) layers' intensity through the scheduler's Background hook.
 // The substitution (sampled rather than verbatim task replay) preserves the
-// contention profile while keeping memory bounded; DESIGN.md records it.
+// contention profile while keeping memory bounded; docs/ARCHITECTURE.md
+// records it.
 
-// bgLoad deterministically synthesizes background busy intervals. It is
-// pure: the tasks for a bucket depend only on (seed, bucket index), so
-// repeated schedule queries see a consistent timeline — which also makes the
-// buckets memoizable. Schedule checks hit the same handful of buckets over
-// and over as simulated time advances, so each bucket is generated once and
-// queries assemble their window from the cache through a reused scratch
-// slice (the schedule copies it before sorting).
+// bgLoad deterministically synthesizes background busy intervals and serves
+// them to a schedule as a sched.Background stream. It is pure: the tasks for
+// a bucket depend only on (seed, bucket index), so repeated schedule queries
+// see a consistent timeline — which also makes the buckets memoizable.
+// Schedule checks hit the same handful of buckets over and over as simulated
+// time advances, so each bucket is generated once and a query's cursor walks
+// the cached buckets in place, as far as the query needs.
 type bgLoad struct {
 	seed      uint64
 	ratePerNs float64 // expected task arrivals per nanosecond
 	meanDurNs float64
 	bucket    int64 // bucket width in nanoseconds
 
-	cache   map[int64][]sched.Task
-	scratch []sched.Task
+	cache map[int64][]sched.Task
 }
 
 // poisson draws a Poisson variate with mean lambda (Knuth's method; lambda
@@ -85,27 +85,35 @@ func (b *bgLoad) bucketTasks(k int64) []sched.Task {
 	return ts
 }
 
-// Tasks implements the sched.Schedule Background contract for [from, to).
-// Buckets ascend and each bucket is start-sorted, so the concatenation is
-// sorted without a per-query sort. The result aliases b's scratch; the
-// schedule consumes it within the query.
-func (b *bgLoad) Tasks(from, to sched.Time) []sched.Task {
-	if b.ratePerNs <= 0 || to <= from {
-		return nil
+// Next implements sched.Background. A query over [From, To) sees the tasks
+// of buckets floor(From/bucket) through floor((To-1)/bucket) that overlap the
+// window; a task from an earlier bucket that straddles From stays invisible.
+// Buckets ascend and each is start-sorted, so the stream is start-ordered;
+// tasks may overlap, since durations are exponential. The cursor's Bucket
+// counts buckets past the first and Index is the position within it.
+func (b *bgLoad) Next(c sched.BgCursor) (sched.Task, sched.BgCursor, bool) {
+	if b.ratePerNs <= 0 || c.To <= c.From {
+		return sched.Task{}, c, false
 	}
-	out := b.scratch[:0]
-	first := int64(from) / b.bucket
-	last := int64(to-1) / b.bucket
-	for k := first; k <= last; k++ {
-		for _, t := range b.bucketTasks(k) {
-			if t.End <= from || t.Start >= to {
+	first := int64(c.From) / b.bucket
+	last := int64(c.To-1) / b.bucket
+	for k := first + c.Bucket; k <= last; k++ {
+		ts := b.bucketTasks(k)
+		for c.Index < len(ts) {
+			t := ts[c.Index]
+			c.Index++
+			if t.Start >= c.To {
+				return sched.Task{}, c, false // every later task starts later still
+			}
+			if t.End <= c.From {
 				continue
 			}
-			out = append(out, t)
+			return t, c, true
 		}
+		c.Bucket++
+		c.Index = 0
 	}
-	b.scratch = out
-	return out
+	return sched.Task{}, c, false
 }
 
 // measureLoad extracts the mean per-peer task rate and duration of a run.
@@ -177,7 +185,7 @@ func runOneLayer(cfg world.Config, mkAttack func() adversary.Adversary, layer in
 				meanDurNs: meanDurNs,
 				bucket:    int64(sim.Day),
 			}
-			p.Schedule().Background = bg.Tasks
+			p.Schedule().Background = bg
 		}
 	}
 	if mkAttack != nil {

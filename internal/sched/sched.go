@@ -44,21 +44,83 @@ type Schedule struct {
 	tasks  []Task // sorted by Start, non-overlapping
 	nextID TaskID
 
-	// Background, if non-nil, reports extra busy intervals in [from, to)
-	// owed to lower simulation layers (the paper's 600-AU layering, §6.3).
-	// Returned intervals must be sorted and non-overlapping.
-	Background func(from, to Time) []Task
+	// Background, if non-nil, supplies extra busy intervals owed to lower
+	// simulation layers (the paper's 600-AU layering, §6.3). Slot search
+	// treats them as busy; explicit reservations ignore them.
+	Background Background
 
 	// CommittedTotal accumulates the total committed duration ever
 	// reserved, for utilization metrics.
 	CommittedTotal Duration
 	// CommittedCount counts reservations ever made.
 	CommittedCount uint64
+}
 
-	// mergeScratch backs merged's union timeline; slot searches under
-	// background load (layered runs) call merged on every schedule check, so
-	// the union is assembled in place instead of allocating per query.
-	mergeScratch []Task
+// Background is a pull source of busy intervals. Every query over a window
+// [from, to) starts a fresh stream at BgCursor{From: from, To: to} and calls
+// Next until ok is false or the query has its answer, so a slot search that
+// fits in the first gap never generates the rest of the window.
+//
+// The stream's contract:
+//   - intervals come in non-decreasing Start order;
+//   - they may overlap one another (the schedule coalesces them);
+//   - each overlaps [From, To);
+//   - the source decides where visibility begins: an interval that started
+//     before From may be omitted (the layering load shows only intervals from
+//     From's day bucket onward), and the schedule sees exactly what is
+//     yielded.
+type Background interface {
+	// Next returns the interval at cursor c and the cursor just past it; ok
+	// is false once the stream is exhausted.
+	Next(c BgCursor) (t Task, next BgCursor, ok bool)
+}
+
+// BgCursor is a position in one query's stream of background intervals. It
+// is a plain value so a query allocates nothing. From and To are the query
+// window; Bucket and Index are the source's own position, both zero at the
+// start of a stream.
+type BgCursor struct {
+	From, To Time
+	Bucket   int64
+	Index    int
+}
+
+// timeline merges the live reservations that end after a query's start with
+// the query's background stream, yielding intervals in Start order. Both
+// inputs are already start-sorted, so this is a streaming two-way merge.
+type timeline struct {
+	tasks []Task
+	bg    Background
+	c     BgCursor
+	head  Task // the background interval pending merge, valid when ok
+	ok    bool
+}
+
+// timeline starts the merged stream for the window [from, to).
+func (s *Schedule) timeline(from, to Time) timeline {
+	// Live reservations are disjoint and start-sorted, so their Ends ascend
+	// too: one search skips every reservation that ended by from.
+	i := sort.Search(len(s.tasks), func(i int) bool { return s.tasks[i].End > from })
+	tl := timeline{tasks: s.tasks[i:], bg: s.Background}
+	if tl.bg != nil {
+		tl.head, tl.c, tl.ok = tl.bg.Next(BgCursor{From: from, To: to})
+	}
+	return tl
+}
+
+// next returns the interval that starts first among the two sources.
+func (tl *timeline) next() (Task, bool) {
+	if len(tl.tasks) > 0 && (!tl.ok || tl.tasks[0].Start <= tl.head.Start) {
+		t := tl.tasks[0]
+		tl.tasks = tl.tasks[1:]
+		return t, true
+	}
+	if !tl.ok {
+		return Task{}, false
+	}
+	t := tl.head
+	tl.head, tl.c, tl.ok = tl.bg.Next(tl.c)
+	return t, true
 }
 
 // New returns an empty schedule.
@@ -86,34 +148,6 @@ func (s *Schedule) GC(now Time) {
 	}
 }
 
-// merged returns the union of committed and background intervals within
-// [from, to), sorted and non-overlapping.
-func (s *Schedule) merged(from, to Time) []Task {
-	var bg []Task
-	if s.Background != nil {
-		bg = s.Background(from, to)
-	}
-	if len(bg) == 0 {
-		return s.tasks
-	}
-	all := append(s.mergeScratch[:0], s.tasks...)
-	all = append(all, bg...)
-	s.mergeScratch = all
-	sort.Slice(all, func(i, j int) bool { return all[i].Start < all[j].Start })
-	// Coalesce overlaps so gap-finding sees one busy timeline.
-	out := all[:0]
-	for _, t := range all {
-		if n := len(out); n > 0 && t.Start <= out[n-1].End {
-			if t.End > out[n-1].End {
-				out[n-1].End = t.End
-			}
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
 // FindSlot returns the earliest start >= earliest such that a task of length
 // d fits entirely before deadline, honoring existing commitments and
 // background load. ok is false if no slot exists.
@@ -124,24 +158,23 @@ func (s *Schedule) FindSlot(earliest Time, d Duration, deadline Time) (start Tim
 	if earliest+Time(d) > deadline {
 		return 0, false
 	}
+	// The greedy walk yields the earliest fit whether or not the intervals
+	// overlap: every interval it has passed ends at or before cur, and cur
+	// only advances past an interval that blocks [cur, cur+d).
 	cur := earliest
-	for _, t := range s.merged(earliest, deadline) {
-		if t.End <= cur {
-			continue
+	tl := s.timeline(earliest, deadline)
+	for {
+		t, ok := tl.next()
+		if !ok || t.Start >= cur+Time(d) {
+			return cur, true // the gap before t (or the open tail) fits
 		}
-		if t.Start >= cur+Time(d) {
-			break // gap before this task fits
-		}
-		// Task overlaps the candidate window; move past it.
-		cur = t.End
-		if cur+Time(d) > deadline {
-			return 0, false
+		if t.End > cur {
+			cur = t.End
+			if cur+Time(d) > deadline {
+				return 0, false
+			}
 		}
 	}
-	if cur+Time(d) > deadline {
-		return 0, false
-	}
-	return cur, true
 }
 
 // Reserve commits [start, start+d) with the given label. It fails if the
@@ -204,19 +237,25 @@ func (s *Schedule) BusyFraction(from, to Time) float64 {
 	if to <= from {
 		return 0
 	}
+	// Coalesce on the fly: [lo, hi) is the current busy run, clipped to the
+	// window, and is counted once the next interval starts past it.
 	var busy Duration
-	for _, t := range s.merged(from, to) {
-		lo, hi := t.Start, t.End
-		if lo < from {
-			lo = from
+	lo, hi := from, from
+	tl := s.timeline(from, to)
+	for {
+		t, ok := tl.next()
+		if !ok || t.Start >= to {
+			break
 		}
-		if hi > to {
-			hi = to
-		}
-		if hi > lo {
+		if t.Start > hi {
 			busy += Duration(hi - lo)
+			lo, hi = t.Start, t.Start
+		}
+		if t.End > hi {
+			hi = min(t.End, to)
 		}
 	}
+	busy += Duration(hi - lo)
 	return float64(busy) / float64(to-from)
 }
 
