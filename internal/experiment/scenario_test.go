@@ -339,10 +339,12 @@ func TestRunScenarioCancel(t *testing.T) {
 	// Cancel mid-sweep: point 0 cancels the context from inside its
 	// executor (deterministic, unlike waiting for a wall-clock race — the
 	// optimized engine can drain a 64-point tiny sweep faster than an
-	// external cancel lands), so the remaining queued points must be
-	// skipped rather than simulated and the sweep must surface ctx.Err().
+	// external cancel lands), and points 1..63 wait until it has, so every
+	// one of their runs must be skipped rather than simulated and the sweep
+	// must surface ctx.Err().
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
+	canceled := make(chan struct{})
 	var ran atomic.Int32
 	cancelSpec := &Scenario{
 		Name: "cancel-test-mid",
@@ -351,10 +353,14 @@ func TestRunScenarioCancel(t *testing.T) {
 		RunPoint: func(ctx context.Context, e *Engine, o Options, cfg world.Config, pt Point) (PointResult, error) {
 			if pt.Index == 0 {
 				cancel2()
+				close(canceled)
 				return PointResult{}, ctx.Err()
 			}
-			ran.Add(1)
+			<-canceled
 			stats, err := e.RunOne(ctx, cfg, nil)
+			if err == nil {
+				ran.Add(1)
+			}
 			return PointResult{Stats: stats}, err
 		},
 	}
@@ -366,8 +372,8 @@ func TestRunScenarioCancel(t *testing.T) {
 	if d := time.Since(start); d > 30*time.Second {
 		t.Errorf("canceled RunScenario took %v; queued points were not skipped", d)
 	}
-	if n := ran.Load(); n >= 63 {
-		t.Errorf("all %d later points simulated despite cancellation", n)
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d later points simulated despite cancellation", n)
 	}
 }
 

@@ -5,68 +5,57 @@ import (
 	"testing"
 )
 
-// checkHeapInvariants asserts the queue is a well-formed binary min-heap
-// whose back-pointers are consistent and whose membership matches the dense
-// slot index. The event pool must never hand out a struct that is still
-// queued, and vacated slots must be generation-bumped and free-listed.
+// checkHeapInvariants asserts the queue is a well-formed 4-ary min-heap
+// whose slot back-pointers are consistent and whose membership matches the
+// dense slot arrays: every queued entry owns a distinct live slot, and
+// vacated slots are free-listed exactly once with their closure dropped.
 func checkHeapInvariants(t *testing.T, e *Engine) {
 	t.Helper()
+	n := len(e.fns)
+	if len(e.lineages) != n || len(e.gens) != n || len(e.pos) != n {
+		t.Fatalf("slot array lengths differ: fns %d, lineages %d, gens %d, pos %d",
+			n, len(e.lineages), len(e.gens), len(e.pos))
+	}
 	live := 0
-	for _, ev := range e.slots {
-		if ev != nil {
+	for _, fn := range e.fns {
+		if fn != nil {
 			live++
 		}
 	}
 	if len(e.queue) != live {
 		t.Fatalf("queue has %d events, slot index has %d", len(e.queue), live)
 	}
-	if len(e.slots) != len(e.gens) {
-		t.Fatalf("slots/gens length mismatch: %d vs %d", len(e.slots), len(e.gens))
-	}
-	for i, ev := range e.queue {
-		if ev.heap != i {
-			t.Fatalf("event %d stores heap index %d at position %d", ev.id, ev.heap, i)
+	for i, x := range e.queue {
+		if int(x.slot) >= n {
+			t.Fatalf("queued entry %d carries out-of-range slot %d", i, x.slot)
 		}
-		slot := uint32(ev.id)
-		if slot == 0 || int(slot-1) >= len(e.slots) {
-			t.Fatalf("queued event %d carries out-of-range slot", ev.id)
+		if e.fns[x.slot] == nil {
+			t.Fatalf("queued entry %d holds free slot %d", i, x.slot)
 		}
-		if e.slots[slot-1] != ev {
-			t.Fatalf("queued event %d missing from slot index", ev.id)
+		if got := e.pos[x.slot]; int(got) != i {
+			t.Fatalf("slot %d stores heap index %d at position %d", x.slot, got, i)
 		}
-		if e.gens[slot-1] != uint32(ev.id>>32) {
-			t.Fatalf("queued event %d generation mismatch: slot gen %d, id gen %d",
-				ev.id, e.gens[slot-1], uint32(ev.id>>32))
-		}
-		for _, child := range []int{2*i + 1, 2*i + 2} {
-			if child < len(e.queue) && e.queue.Less(child, i) {
-				t.Fatalf("heap order violated between %d and child %d", i, child)
+		for c := arity*i + 1; c <= arity*i+arity && c < len(e.queue); c++ {
+			if e.queue[c].before(x) {
+				t.Fatalf("heap order violated between %d and child %d", i, c)
 			}
 		}
 	}
 	seen := make(map[uint32]bool, len(e.freeSlots))
 	for _, s := range e.freeSlots {
-		if int(s) >= len(e.slots) {
+		if int(s) >= n {
 			t.Fatalf("free slot %d out of range", s)
 		}
-		if e.slots[s] != nil {
-			t.Fatalf("free slot %d still occupied", s)
+		if e.fns[s] != nil {
+			t.Fatalf("free slot %d still holds a closure", s)
 		}
 		if seen[s] {
 			t.Fatalf("slot %d free-listed twice", s)
 		}
 		seen[s] = true
 	}
-	if len(e.freeSlots)+live != len(e.slots) {
-		t.Fatalf("%d free + %d live slots != %d total", len(e.freeSlots), live, len(e.slots))
-	}
-	for _, ev := range e.free {
-		if ev.fn != nil {
-			t.Fatal("pooled event retains its closure")
-		}
-		if got := e.lookup(ev.id); got == ev {
-			t.Fatalf("pooled event %d still resolvable", ev.id)
-		}
+	if len(e.freeSlots)+live != n {
+		t.Fatalf("%d free + %d live slots != %d total", len(e.freeSlots), live, n)
 	}
 }
 
@@ -74,8 +63,7 @@ func checkHeapInvariants(t *testing.T, e *Engine) {
 // interleavings against a naive model, asserting that events fire in
 // (timestamp, FIFO-at-same-instant) order, cancellation semantics hold
 // (including stale Cancels of fired and freshly reused slots staying no-ops),
-// and the heap plus the slot index and event pool stay structurally sound
-// throughout.
+// and the heap plus the slot arrays stay structurally sound throughout.
 func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 2, 10})
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 1, 0, 2, 255})
@@ -84,6 +72,15 @@ func FuzzEventHeap(f *testing.F) {
 	// Exercise slot reuse: schedule, run (vacates slot), schedule again (reuses
 	// slot under a new generation), then stale-cancel the fired event.
 	f.Add([]byte{0, 1, 2, 2, 0, 1, 1, 0, 2, 255, 3, 0})
+	// Deep heaps: dozens of schedules build three levels, so cancels land
+	// mid-heap and the entry moved into the hole must sift up or down.
+	for _, seed := range []struct{ n, stride, first, last byte }{
+		{48, 37, 5, 0},
+		{64, 101, 0, 1},
+		{41, 53, 200, 3},
+	} {
+		f.Add(deepSeed(int(seed.n), seed.stride, seed.first, seed.last))
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := NewEngine()
 		type modelEvent struct {
@@ -215,4 +212,20 @@ func FuzzEventHeap(f *testing.F) {
 			checkHeapInvariants(t, e)
 		}
 	})
+}
+
+// deepSeed builds a fuzz input that schedules n events at scattered offsets
+// (stride apart, mod 241), the last at offset last so it belongs near the
+// root wherever a cancel moves it, then cancels a third of the pending
+// events (model indices first, first+7, ...) and finally runs everything.
+func deepSeed(n int, stride, first, last byte) []byte {
+	var ops []byte
+	for i := 0; i < n-1; i++ {
+		ops = append(ops, 0, byte(10+(i*int(stride))%241))
+	}
+	ops = append(ops, 0, last)
+	for k := 0; k < n/3; k++ {
+		ops = append(ops, 1, first+byte(k*7))
+	}
+	return append(ops, 2, 255)
 }

@@ -1,6 +1,8 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock and a priority queue of events. Events
+// The engine maintains a virtual clock and a priority queue of events: a
+// 4-ary min-heap of plain (instant, sequence, slot) values, with each
+// event's closure and lineage held in dense per-slot arrays. Events
 // scheduled for the same instant fire in FIFO order of scheduling, which —
 // combined with the deterministic prng package — makes whole simulation runs
 // reproducible bit-for-bit.
@@ -11,7 +13,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -64,73 +65,58 @@ func (t Time) String() string {
 // Cancel of a fired or already-cancelled event is a cheap, safe no-op.
 type EventID uint64
 
-type event struct {
-	at  Time
-	seq uint64 // FIFO tie-break for events at the same instant
-	id  EventID
-	// lineage is a causal-order tag used by sharded execution: events created
-	// while another event runs inherit that event's lineage, and cross-shard
-	// deliveries are stamped with a fresh globally-monotone value in canonical
-	// drain order. Single-engine runs carry it at no behavioral cost.
-	lineage uint64
-	fn      func()
-	heap    int // index within the heap, -1 when popped
+// entry is one pending event in the queue: its firing instant, its FIFO
+// tie-break and the slot holding its closure and lineage. Entries are plain
+// values, so the queue holds no pointers for the collector to scan and a
+// comparison reads only the queue's own memory.
+type entry struct {
+	at   Time
+	seq  uint64 // FIFO tie-break for events at the same instant; unique
+	slot uint32
 }
 
-type eventHeap []*event
+// before reports whether a fires before b.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heap = i
-	h[j].heap = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.heap = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.heap = -1
-	*h = old[:n-1]
-	return ev
-}
+// arity is the queue's branching factor. A 4-ary heap is half as deep as a
+// binary one and its four children sit in adjacent entries, so a sift costs
+// a few more comparisons per level but touches fewer cache lines on the deep
+// queues of large runs. Order at equal instants comes from seq, which is
+// unique, so the arity never changes which event fires next.
+const arity = 4
 
 // Engine is a discrete-event simulation engine. It is not safe for concurrent
 // use; a simulation is a single-goroutine computation by design, which is
 // what makes runs deterministic.
 type Engine struct {
-	now     Time
-	queue   eventHeap
+	now Time
+	// queue is a 4-ary min-heap of pending events ordered by (at, seq).
+	queue   []entry
 	nextSeq uint64
-	// Dense event index: slots[i] holds the live event whose ID carries slot
-	// i, gens[i] its current generation. A map was measured to dominate
-	// schedule/cancel costs at large populations; the dense index makes both
-	// O(1) with no hashing and no per-event map buckets.
-	slots     []*event
+	// Dense per-slot state, indexed by the slot an EventID carries: the
+	// event's closure (nil when the slot is free), its lineage, the slot's
+	// current generation and the entry's index in queue. A map was measured
+	// to dominate schedule/cancel costs at large populations; the dense
+	// arrays make both O(1) with no hashing, and a vacated slot is reused
+	// under a new generation, so a long run allocates only up to its peak
+	// number of pending events.
+	fns       []func()
+	lineages  []uint64
 	gens      []uint32
+	pos       []int32
 	freeSlots []uint32
 	stopped   bool
-	// free pools event structs released on fire/cancel. A long run schedules
-	// millions of events but holds only a bounded number at once, so the hot
-	// path recycles instead of allocating. Slot generations make stale IDs
-	// harmless, so recycling never aliases a cancellable event.
-	free []*event
 
-	// lineage tagging (see event.lineage). curLineage is the lineage of the
-	// currently executing event; inEvent distinguishes execution-time
-	// scheduling (inherit) from build-time scheduling (draw fresh from the
-	// shared counter, when one is attached).
+	// Lineage is a causal-order tag used by sharded execution: events
+	// created while another event runs inherit that event's lineage, and
+	// cross-shard deliveries are stamped with a fresh globally-monotone
+	// value in canonical drain order. Single-engine runs carry it at no
+	// behavioral cost. curLineage is the lineage of the currently executing
+	// event; inEvent distinguishes execution-time scheduling (inherit) from
+	// build-time scheduling (draw fresh from the shared counter, when one is
+	// attached).
 	curLineage uint64
 	inEvent    bool
 	lineageCtr *uint64
@@ -201,40 +187,90 @@ func (e *Engine) AtLineage(t Time, lineage uint64, fn func()) EventID {
 	if n := len(e.freeSlots); n > 0 {
 		slot = e.freeSlots[n-1]
 		e.freeSlots = e.freeSlots[:n-1]
+		e.fns[slot] = fn
+		e.lineages[slot] = lineage
 	} else {
-		slot = uint32(len(e.slots))
-		e.slots = append(e.slots, nil)
+		slot = uint32(len(e.fns))
+		e.fns = append(e.fns, fn)
+		e.lineages = append(e.lineages, lineage)
 		e.gens = append(e.gens, 0)
+		e.pos = append(e.pos, 0)
 	}
-	id := EventID(e.gens[slot])<<32 | EventID(slot+1)
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		*ev = event{at: t, seq: e.nextSeq, id: id, lineage: lineage, fn: fn}
-	} else {
-		ev = &event{at: t, seq: e.nextSeq, id: id, lineage: lineage, fn: fn}
-	}
-	heap.Push(&e.queue, ev)
-	e.slots[slot] = ev
-	return id
+	e.queue = append(e.queue, entry{at: t, seq: e.nextSeq, slot: slot})
+	e.up(len(e.queue) - 1)
+	return EventID(e.gens[slot])<<32 | EventID(slot+1)
 }
 
-// detach vacates the slot carried by ev's ID and bumps its generation so the
-// ID can never resolve again.
-func (e *Engine) detach(ev *event) {
-	slot := uint32(ev.id) - 1
+// vacate frees slot and bumps its generation so no ID issued for it can
+// resolve again. Dropping the closure keeps the slot from pinning captured
+// state.
+func (e *Engine) vacate(slot uint32) {
 	e.gens[slot]++
-	e.slots[slot] = nil
+	e.fns[slot] = nil
 	e.freeSlots = append(e.freeSlots, slot)
 }
 
-// release returns a popped or cancelled event to the pool, dropping its
-// closure reference so the pool does not pin captured state.
-func (e *Engine) release(ev *event) {
-	ev.fn = nil
-	e.free = append(e.free, ev)
+// up moves the entry at index i toward the root until its parent fires
+// before it.
+func (e *Engine) up(i int) {
+	q := e.queue
+	x := q[i]
+	for i > 0 {
+		p := (i - 1) / arity
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		e.pos[q[i].slot] = int32(i)
+		i = p
+	}
+	q[i] = x
+	e.pos[x.slot] = int32(i)
+}
+
+// down moves the entry at index i toward the leaves until it fires before
+// all of its children, and reports whether it moved.
+func (e *Engine) down(i int) bool {
+	q := e.queue
+	n := len(q)
+	x := q[i]
+	i0 := i
+	for {
+		c := arity*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+arity, n); j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(x) {
+			break
+		}
+		q[i] = q[m]
+		e.pos[q[i].slot] = int32(i)
+		i = m
+	}
+	q[i] = x
+	e.pos[x.slot] = int32(i)
+	return i > i0
+}
+
+// remove deletes the entry at index i, moving the last entry into its place
+// and restoring heap order around it.
+func (e *Engine) remove(i int) {
+	last := len(e.queue) - 1
+	moved := e.queue[last]
+	e.queue = e.queue[:last]
+	if i == last {
+		return
+	}
+	e.queue[i] = moved
+	if !e.down(i) {
+		e.up(i)
+	}
 }
 
 // After schedules fn to run d after the current instant. Negative durations
@@ -246,29 +282,29 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 	return e.At(e.now.Add(d), fn)
 }
 
-// lookup resolves a live event by ID, or nil for stale/invalid IDs.
-func (e *Engine) lookup(id EventID) *event {
-	slot := uint32(id)
+// lookup resolves a live event's slot by ID; ok is false for stale or
+// invalid IDs.
+func (e *Engine) lookup(id EventID) (slot uint32, ok bool) {
+	slot = uint32(id)
 	if slot == 0 {
-		return nil
+		return 0, false
 	}
 	slot--
-	if int(slot) >= len(e.slots) || e.gens[slot] != uint32(id>>32) {
-		return nil
+	if int(slot) >= len(e.gens) || e.gens[slot] != uint32(id>>32) {
+		return 0, false
 	}
-	return e.slots[slot]
+	return slot, true
 }
 
 // Cancel removes a pending event. Cancelling an event that already fired or
 // was already cancelled is a no-op and returns false.
 func (e *Engine) Cancel(id EventID) bool {
-	ev := e.lookup(id)
-	if ev == nil {
+	slot, ok := e.lookup(id)
+	if !ok {
 		return false
 	}
-	e.detach(ev)
-	heap.Remove(&e.queue, ev.heap)
-	e.release(ev)
+	e.remove(int(e.pos[slot]))
+	e.vacate(slot)
 	return true
 }
 
@@ -278,16 +314,16 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// fire pops ev (already at the heap root), advances the clock and runs it.
-func (e *Engine) fire(ev *event) {
-	heap.Pop(&e.queue)
-	e.detach(ev)
-	e.now = ev.at
-	// Recycle before firing: fn may schedule (and the pool hand out the
-	// struct again), which is safe because ev is not touched afterwards.
-	fn := ev.fn
-	lin := ev.lineage
-	e.release(ev)
+// fire pops the root event, advances the clock and runs it.
+func (e *Engine) fire() {
+	top := e.queue[0]
+	e.remove(0)
+	// Vacate before firing: fn may schedule (and reuse the slot), which is
+	// safe because the slot is not touched afterwards.
+	fn := e.fns[top.slot]
+	lin := e.lineages[top.slot]
+	e.vacate(top.slot)
+	e.now = top.at
 	e.inEvent = true
 	e.curLineage = lin
 	fn()
@@ -305,12 +341,8 @@ func (e *Engine) fire(ev *event) {
 func (e *Engine) Run(until Time) uint64 {
 	e.stopped = false
 	var n uint64
-	for len(e.queue) > 0 && !e.stopped {
-		ev := e.queue[0]
-		if ev.at > until {
-			break
-		}
-		e.fire(ev)
+	for len(e.queue) > 0 && !e.stopped && e.queue[0].at <= until {
+		e.fire()
 		n++
 	}
 	// Advance the clock to the horizon even if the queue drained early, so
@@ -328,12 +360,8 @@ func (e *Engine) Run(until Time) uint64 {
 func (e *Engine) RunBefore(w Time) uint64 {
 	e.stopped = false
 	var n uint64
-	for len(e.queue) > 0 && !e.stopped {
-		ev := e.queue[0]
-		if ev.at >= w {
-			break
-		}
-		e.fire(ev)
+	for len(e.queue) > 0 && !e.stopped && e.queue[0].at < w {
+		e.fire()
 		n++
 	}
 	return n
@@ -362,7 +390,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	e.fire(e.queue[0])
+	e.fire()
 	return true
 }
 

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"slices"
 	"testing"
+
+	"lockss/internal/prng"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -257,5 +260,107 @@ func TestExecutedCounter(t *testing.T) {
 	e.Run(100)
 	if e.Executed != 7 {
 		t.Errorf("Executed = %d, want 7", e.Executed)
+	}
+}
+
+// TestEngineDeepCancel schedules about 2,000 events at random instants (many
+// sharing one, so FIFO order matters), cancels a random third of them from
+// all over the heap, and checks that the rest fire in the order of a stable
+// sort by instant. Each cancel moves the last entry into the hole, and only
+// sifting it both ways keeps that order.
+func TestEngineDeepCancel(t *testing.T) {
+	type scheduled struct {
+		at    Time
+		label int
+		id    EventID
+	}
+	r := prng.New(13)
+	e := NewEngine()
+	var all []scheduled
+	var fired []int
+	for i := 0; i < 2000; i++ {
+		at := Time(r.Int63n(700))
+		all = append(all, scheduled{at: at, label: i, id: e.At(at, func() { fired = append(fired, i) })})
+	}
+	cancelled := make([]bool, len(all))
+	for _, k := range r.Perm(len(all))[:len(all)/3] {
+		if !e.Cancel(all[k].id) {
+			t.Fatalf("Cancel of pending event %d returned false", k)
+		}
+		cancelled[k] = true
+	}
+	var want []scheduled
+	for k, s := range all {
+		if !cancelled[k] {
+			want = append(want, s)
+		}
+	}
+	if e.Pending() != len(want) {
+		t.Fatalf("Pending() = %d after cancels, want %d", e.Pending(), len(want))
+	}
+	slices.SortStableFunc(want, func(a, b scheduled) int { return int(a.at - b.at) })
+	e.Run(1000)
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(fired), len(want))
+	}
+	for i, s := range want {
+		if fired[i] != s.label {
+			t.Fatalf("event %d fired %d, want %d (at %v)", i, fired[i], s.label, s.at)
+		}
+	}
+}
+
+// TestEngineAllocs pins the engine at zero allocations per event once the
+// queue and slot arrays have grown to the run's peak: scheduling, firing and
+// cancelling all reuse them.
+func TestEngineAllocs(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 1000; i++ {
+		e.At(Time(1_000_000+i), fn)
+	}
+	if n := testing.AllocsPerRun(1000, func() { e.After(0, fn); e.Step() }); n != 0 {
+		t.Errorf("At+fire: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { e.Cancel(e.After(1, fn)) }); n != 0 {
+		t.Errorf("At+Cancel: %v allocs/op, want 0", n)
+	}
+}
+
+// BenchmarkEngineDeepQueue measures one event at the queue depth of a
+// 5k-peer capacity run: about 200k pending events at exponentially spread
+// instants, each fired event scheduling its successor, and one schedule in
+// ten cancelled before it fires, as protocol timeouts are.
+// BenchmarkEngineEventThroughput (root package) holds a single pending
+// event, so it never exercises depth.
+func BenchmarkEngineDeepQueue(b *testing.B) {
+	const depth = 200_000
+	r := prng.New(7)
+	var delays [1 << 16]Duration
+	for i := range delays {
+		delays[i] = Duration(r.ExpFloat64(float64(Hour)))
+	}
+	e := NewEngine()
+	var recent [1024]EventID // the latest schedules, oldest at k%len
+	k, n := 0, 0
+	var fire func()
+	schedule := func() {
+		recent[k%len(recent)] = e.After(delays[k%len(delays)], fire)
+		k++
+	}
+	fire = func() {
+		n++
+		schedule()
+		if n%9 == 0 {
+			e.Cancel(recent[k%len(recent)])
+			schedule()
+		}
+	}
+	for i := 0; i < depth; i++ {
+		schedule()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }
