@@ -12,13 +12,8 @@
 //	lockss-sim -output json              # text | json | csv
 //	lockss-sim -scale paper              # tiny | small | paper | large | huge
 //	lockss-sim -workers 8                # parallel runs (default: all cores)
-//	lockss-sim -shards 4                 # parallel peer shards per run
 //	lockss-sim -progress                 # periodic virtual-time progress lines
 //	lockss-sim -seeds 3 -seed 42 -v
-//
-// -workers parallelizes across independent runs; -shards parallelizes inside
-// each run, which is what helps at -scale large/huge where a single run
-// dominates.
 //
 // Output is bit-identical at any -workers value: runs are scheduled across
 // the worker pool but seeded, combined and printed exactly as the serial
@@ -28,6 +23,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -107,38 +103,50 @@ func emitter(format string) (func(t *experiment.Table) error, error) {
 	return nil, fmt.Errorf("unknown output format %q", format)
 }
 
-func main() {
-	var (
-		figure   = flag.String("figure", "", "legacy artifact selector: 2,3,4,5,6,7,8,table1,ablations,extensions,all")
-		scenario = flag.String("scenario", "", "comma-separated registered scenario names to run (see -list)")
-		list     = flag.Bool("list", false, "list registered scenarios and exit")
-		output   = flag.String("output", "text", "output format: text, json, csv")
-		scale    = flag.String("scale", "small", "experiment fidelity: tiny, small, paper, large, huge")
-		seeds    = flag.Int("seeds", 0, "seeds per data point (0 = scale default)")
-		seed     = flag.Uint64("seed", 0, "base seed offset")
-		workers  = flag.Int("workers", 0, "concurrent simulation runs (<=0 = GOMAXPROCS, i.e. all usable cores)")
-		shards   = flag.Int("shards", 0, "parallel peer shards per simulation (0/1 = single engine; output is byte-identical at any value)")
-		progress = flag.Bool("progress", false, "print periodic virtual-time/events-executed progress lines to stderr")
-		verbose  = flag.Bool("v", false, "print per-data-point progress")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprof  = flag.String("memprofile", "", "write an allocation profile at exit to this file")
-	)
-	flag.Parse()
+// usageError is a command-line mistake; it exits with status 2, as a bad
+// flag does.
+type usageError struct{ error }
 
-	fail := func(err error) {
+func main() {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "lockss-sim: %v\n", err)
+		if errors.As(err, &usageError{}) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
+}
+
+// run executes one invocation. It returns instead of exiting, so the
+// deferred profile writers run on every path, errors and cancels included.
+func run(args []string) error {
+	fs := flag.NewFlagSet("lockss-sim", flag.ExitOnError)
+	var (
+		figure   = fs.String("figure", "", "legacy artifact selector: 2,3,4,5,6,7,8,table1,ablations,extensions,all")
+		scenario = fs.String("scenario", "", "comma-separated registered scenario names to run (see -list)")
+		list     = fs.Bool("list", false, "list registered scenarios and exit")
+		output   = fs.String("output", "text", "output format: text, json, csv")
+		scale    = fs.String("scale", "small", "experiment fidelity: tiny, small, paper, large, huge")
+		seeds    = fs.Int("seeds", 0, "seeds per data point (0 = scale default)")
+		seed     = fs.Uint64("seed", 0, "base seed offset")
+		workers  = fs.Int("workers", 0, "concurrent simulation runs (<=0 = GOMAXPROCS, i.e. all usable cores)")
+		progress = fs.Bool("progress", false, "print periodic virtual-time/events-executed progress lines to stderr")
+		verbose  = fs.Bool("v", false, "print per-data-point progress")
+		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprof  = fs.String("memprofile", "", "write an allocation profile at exit to this file")
+	)
+	fs.Parse(args) // exits on a bad flag, before any profile is started
 
 	// Profiling hooks, so perf work can profile real figure runs instead of
 	// reduced benchmark stand-ins. Inspect with `go tool pprof`.
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
+			f.Close()
+			return err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -148,7 +156,7 @@ func main() {
 	if *memprof != "" {
 		f, err := os.Create(*memprof)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer func() {
 			runtime.GC() // settle live objects so the heap profile is current
@@ -163,13 +171,13 @@ func main() {
 		for _, s := range experiment.List() {
 			fmt.Printf("%-28s %s\n", s.Name, s.Description)
 		}
-		return
+		return nil
 	}
 
 	// One engine for the whole invocation: running several scenarios reuses
 	// memoized baseline runs across them.
 	eng := experiment.NewEngine(*workers)
-	opts := experiment.Options{Seeds: *seeds, BaseSeed: *seed, Shards: *shards, Engine: eng}
+	opts := experiment.Options{Seeds: *seeds, BaseSeed: *seed, Engine: eng}
 	switch strings.ToLower(*scale) {
 	case "tiny":
 		opts.Scale = experiment.ScaleTiny
@@ -182,8 +190,7 @@ func main() {
 	case "huge":
 		opts.Scale = experiment.ScaleHuge
 	default:
-		fmt.Fprintf(os.Stderr, "lockss-sim: unknown scale %q\n", *scale)
-		os.Exit(2)
+		return usageError{fmt.Errorf("unknown scale %q", *scale)}
 	}
 	if *progress {
 		// Rate-limited one-liners: virtual time reached and events executed
@@ -209,7 +216,7 @@ func main() {
 
 	emit, err := emitter(strings.ToLower(*output))
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	// Resolve what to run: explicit -scenario names win; -figure (default
@@ -217,7 +224,7 @@ func main() {
 	var sels []selection
 	switch {
 	case *scenario != "" && *figure != "":
-		fail(fmt.Errorf("-scenario and -figure are mutually exclusive"))
+		return fmt.Errorf("-scenario and -figure are mutually exclusive")
 	case *scenario != "":
 		for _, name := range strings.Split(*scenario, ",") {
 			sels = append(sels, selection{strings.TrimSpace(name), -1})
@@ -229,7 +236,7 @@ func main() {
 		}
 		sels, err = selections(f)
 		if err != nil {
-			fail(err)
+			return err
 		}
 	}
 
@@ -240,18 +247,18 @@ func main() {
 	for _, sel := range sels {
 		spec, ok := experiment.Lookup(sel.scenario)
 		if !ok {
-			fail(fmt.Errorf("scenario %q not registered (try -list)", sel.scenario))
+			return fmt.Errorf("scenario %q not registered (try -list)", sel.scenario)
 		}
 		tables, err := spec.Run(ctx, opts)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if sel.table >= 0 {
 			tables = tables[sel.table : sel.table+1]
 		}
 		for _, t := range tables {
 			if err := emit(t); err != nil {
-				fail(err)
+				return err
 			}
 		}
 	}
@@ -261,4 +268,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "engine: %d workers; baseline runs computed=%d memo-hits=%d\n",
 			eng.Workers(), misses, hits)
 	}
+	return nil
 }

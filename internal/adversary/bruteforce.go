@@ -215,7 +215,7 @@ func (a *BruteForce) handleReply(minion ids.PeerID, victim ids.PeerID, m *protoc
 		}
 		if a.w.Cfg.Protocol.EffortBalancing {
 			reply.Proof = effort.SimProof{Effort: pe.Remainder, Genuine: true}
-			a.w.ChargeAdversary("attack-remainder", pe.Remainder)
+			a.w.AdversaryLedger.Charge("attack-remainder", pe.Remainder)
 		}
 		a.w.Net.Send(minion, victim, reply, reply.WireSize())
 	case protocol.MsgVote:
@@ -226,7 +226,7 @@ func (a *BruteForce) handleReply(minion ids.PeerID, victim ids.PeerID, m *protoc
 		// magically correct, but evaluation effort is still effort) and
 		// return a valid receipt.
 		pe := a.efforts[m.AU]
-		a.w.ChargeAdversary("attack-eval", pe.EvalHash)
+		a.w.AdversaryLedger.Charge("attack-eval", pe.EvalHash)
 		ctx := protocol.PollContext(minion, victim, m.AU, m.PollID, "vote")
 		var receipt effort.Receipt
 		if m.Proof != nil {

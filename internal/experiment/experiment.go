@@ -54,8 +54,7 @@ type Comparison struct {
 // every unlayered simulation run in the process: the reporting engine's
 // virtual time and that run's total executed events, every ProgressStride
 // events. Set it before running anything (the CLI's -progress does); the
-// callback must be thread-safe, since runs execute concurrently and a
-// sharded run reports from several goroutines.
+// callback must be thread-safe, since runs execute concurrently.
 var ProgressSink func(vt sim.Time, events uint64)
 
 // ProgressStride is the reporting granularity of ProgressSink, in events.
@@ -167,7 +166,7 @@ const (
 	// ScaleLarge: a ~5k-peer population for capacity work. Cold bootstrap
 	// (no O(Peers²) acquaintance seeding), few small AUs, short horizon.
 	ScaleLarge
-	// ScaleHuge: a ~20k-peer population; the sharded engine's target regime.
+	// ScaleHuge: a ~20k-peer population for capacity work at the next size up.
 	ScaleHuge
 )
 
@@ -192,10 +191,6 @@ type Options struct {
 	Scale Scale
 	// Seeds overrides the scale's default seed count when positive.
 	Seeds int
-	// Shards, when positive, runs every simulation on that many parallel
-	// peer shards (world.Config.Shards). Results are byte-identical at any
-	// value; larger populations run faster on multi-core hosts.
-	Shards int
 	// BaseSeed offsets all run seeds.
 	BaseSeed uint64
 	// Progress, if non-nil, receives one line per completed data point.
@@ -240,7 +235,7 @@ func (o Options) seeds() int {
 }
 
 // BaseWorld returns the population config the Options select: the scale's
-// population shape, seeded from BaseSeed, with Shards applied. Scenario Base
+// population shape, seeded from BaseSeed. Scenario Base
 // functions and capacity benchmarks use it as their starting point.
 func (o Options) BaseWorld() world.Config { return o.baseWorld() }
 
@@ -274,7 +269,6 @@ func (o Options) baseWorld() world.Config {
 		cfg.AUSize = 64 << 20
 		cfg.Duration = 1 * sim.Year
 	}
-	cfg.Shards = o.Shards
 	return cfg
 }
 

@@ -277,11 +277,6 @@ func (s *Scenario) config(o Options, pt Point) world.Config {
 	} else {
 		cfg = o.baseWorld()
 	}
-	if o.Shards > 0 {
-		// Custom Base functions don't all consult the options; the shard
-		// count is an execution concern, so it wins over the base config.
-		cfg.Shards = o.Shards
-	}
 	for _, m := range s.Mutators {
 		m(&cfg)
 	}

@@ -13,12 +13,9 @@
 // A Collector gathers the raw ingredients for one run; ratios against a
 // baseline run are taken by the experiment package.
 //
-// Accumulation is partition-invariant by construction: every time integral
-// is kept as integer nanoseconds per replica and only summed (in replica
-// registration order) when an aggregate is read. A sharded run keeps one
-// Collector per shard, each observing a disjoint replica set, and merges
-// them in canonical shard order at the end — producing bit-identical
-// aggregates at any shard count.
+// Every time integral is kept as integer nanoseconds per replica and only
+// summed (in replica registration order) when an aggregate is read, so the
+// order in which events accumulate cannot perturb an aggregate.
 package metrics
 
 import (
@@ -49,7 +46,7 @@ type repState struct {
 }
 
 // Collector implements protocol.Observer and accumulates raw statistics for
-// one simulation run (or one shard of a run; see Merge).
+// one simulation run.
 type Collector struct {
 	reps []repState // dense, in registration order — the canonical order
 	idx  map[replicaKey]int32
@@ -163,27 +160,6 @@ func (c *Collector) Alarm(peer ids.PeerID, au content.AUID, pollID uint64, now s
 // VoteSupplied implements protocol.Observer.
 func (c *Collector) VoteSupplied(voter, poller ids.PeerID, au content.AUID, pollID uint64, now sched.Time) {
 	c.VotesSupplied++
-}
-
-// Merge folds other into c: replicas append in other's registration order,
-// counters add. Call on unfinalized collectors, in canonical shard order, so
-// the merged replica sequence is identical at every shard count; then
-// Finalize the merged collector once. other must not be used afterwards.
-func (c *Collector) Merge(other *Collector) {
-	base := int32(len(c.reps))
-	c.reps = append(c.reps, other.reps...)
-	for k, i := range other.idx {
-		c.idx[k] = base + i
-	}
-	c.damagedCount += other.damagedCount
-	c.touch(other.lastT)
-	for o, n := range other.Polls {
-		c.Polls[o] += n
-	}
-	c.Alarms += other.Alarms
-	c.DamageEvents += other.DamageEvents
-	c.RepairsFixed += other.RepairsFixed
-	c.VotesSupplied += other.VotesSupplied
 }
 
 // Finalize closes open damage intervals at the horizon. Call once, at the

@@ -67,6 +67,20 @@ func (e *fakeEnv) take() []sentMsg {
 	return out
 }
 
+// runToSend fires events in time order up to deadline, returning right
+// after the first event that leaves a send recorded, so a scripted reply is
+// scheduled at the instant its trigger went out. It reports whether an event
+// fired and a send is waiting to be taken.
+func (e *fakeEnv) runToSend(deadline sim.Time) bool {
+	e.eng.SetProgress(1, func(sim.Time, uint64) {
+		if len(e.sent) > 0 {
+			e.eng.Stop()
+		}
+	})
+	defer e.eng.SetProgress(0, nil)
+	return e.eng.Run(deadline) > 0 && len(e.sent) > 0
+}
+
 // lastTo returns the last message sent to a peer, or nil.
 func (e *fakeEnv) lastTo(to ids.PeerID, typ MsgType) *Msg {
 	for i := len(e.sent) - 1; i >= 0; i-- {

@@ -108,11 +108,9 @@ func TestEvalLengthMismatchedVoteRejected(t *testing.T) {
 		if done {
 			break
 		}
-		next, ok := env.eng.Next()
-		if !ok || next > deadline {
+		if !env.runToSend(deadline) {
 			t.Fatal("no PollProof ever sent")
 		}
-		env.eng.Step()
 	}
 	// Let the bad vote arrive.
 	for i := 0; i < 10; i++ {

@@ -60,20 +60,18 @@ func newPollerHarness(t *testing.T, cfg Config, voterIDs []ids.PeerID) *pollerHa
 	return h
 }
 
-// pump processes outbound messages, generating scripted replies, stepping
-// the engine one event at a time so replies interleave naturally, until the
-// horizon passes or the system quiesces.
+// pump processes outbound messages, generating scripted replies as soon as
+// each send goes out so replies interleave naturally, until the horizon
+// passes or the system quiesces.
 func (h *pollerHarness) pump(horizon sim.Duration) {
 	deadline := h.env.eng.Now().Add(horizon)
 	for {
 		for _, s := range h.env.take() {
 			h.reply(s)
 		}
-		next, ok := h.env.eng.Next()
-		if !ok || next > deadline {
+		if !h.env.runToSend(deadline) {
 			break
 		}
-		h.env.eng.Step()
 	}
 }
 

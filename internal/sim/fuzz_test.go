@@ -12,9 +12,9 @@ import (
 func checkHeapInvariants(t *testing.T, e *Engine) {
 	t.Helper()
 	n := len(e.fns)
-	if len(e.lineages) != n || len(e.gens) != n || len(e.pos) != n {
-		t.Fatalf("slot array lengths differ: fns %d, lineages %d, gens %d, pos %d",
-			n, len(e.lineages), len(e.gens), len(e.pos))
+	if len(e.gens) != n || len(e.pos) != n {
+		t.Fatalf("slot array lengths differ: fns %d, gens %d, pos %d",
+			n, len(e.gens), len(e.pos))
 	}
 	live := 0
 	for _, fn := range e.fns {
@@ -195,19 +195,6 @@ func FuzzEventHeap(f *testing.F) {
 			}
 			if e.Pending() != len(pending) {
 				t.Fatalf("Pending() = %d, model has %d", e.Pending(), len(pending))
-			}
-			if at, ok := e.Next(); ok != (len(pending) > 0) {
-				t.Fatalf("Next() ok = %v with %d pending", ok, len(pending))
-			} else if ok {
-				min := pending[0].at
-				for _, ev := range pending[1:] {
-					if ev.at < min {
-						min = ev.at
-					}
-				}
-				if at != min {
-					t.Fatalf("Next() = %v, model min %v", at, min)
-				}
 			}
 			checkHeapInvariants(t, e)
 		}

@@ -2,14 +2,11 @@
 //
 // The engine maintains a virtual clock and a priority queue of events: a
 // 4-ary min-heap of plain (instant, sequence, slot) values, with each
-// event's closure and lineage held in dense per-slot arrays. Events
-// scheduled for the same instant fire in FIFO order of scheduling, which —
-// combined with the deterministic prng package — makes whole simulation runs
-// reproducible bit-for-bit.
-//
-// For single-run parallelism, a Coordinator (see sharded.go) drives several
-// engines under a conservative time-window barrier; each engine remains a
-// single-goroutine computation within its windows.
+// event's closure held in dense per-slot arrays. Events scheduled for the
+// same instant fire in FIFO order of scheduling, which — combined with the
+// deterministic prng package — makes whole simulation runs reproducible
+// bit-for-bit. A run is one engine on one goroutine; parallelism comes from
+// running independent simulations side by side.
 package sim
 
 import (
@@ -66,7 +63,7 @@ func (t Time) String() string {
 type EventID uint64
 
 // entry is one pending event in the queue: its firing instant, its FIFO
-// tie-break and the slot holding its closure and lineage. Entries are plain
+// tie-break and the slot holding its closure. Entries are plain
 // values, so the queue holds no pointers for the collector to scan and a
 // comparison reads only the queue's own memory.
 type entry struct {
@@ -96,30 +93,17 @@ type Engine struct {
 	queue   []entry
 	nextSeq uint64
 	// Dense per-slot state, indexed by the slot an EventID carries: the
-	// event's closure (nil when the slot is free), its lineage, the slot's
-	// current generation and the entry's index in queue. A map was measured
+	// event's closure (nil when the slot is free), the slot's current
+	// generation and the entry's index in queue. A map was measured
 	// to dominate schedule/cancel costs at large populations; the dense
 	// arrays make both O(1) with no hashing, and a vacated slot is reused
 	// under a new generation, so a long run allocates only up to its peak
 	// number of pending events.
 	fns       []func()
-	lineages  []uint64
 	gens      []uint32
 	pos       []int32
 	freeSlots []uint32
 	stopped   bool
-
-	// Lineage is a causal-order tag used by sharded execution: events
-	// created while another event runs inherit that event's lineage, and
-	// cross-shard deliveries are stamped with a fresh globally-monotone
-	// value in canonical drain order. Single-engine runs carry it at no
-	// behavioral cost. curLineage is the lineage of the currently executing
-	// event; inEvent distinguishes execution-time scheduling (inherit) from
-	// build-time scheduling (draw fresh from the shared counter, when one is
-	// attached).
-	curLineage uint64
-	inEvent    bool
-	lineageCtr *uint64
 
 	// Executed counts events that have fired, for progress reporting and
 	// engine benchmarks.
@@ -137,11 +121,6 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// SetLineageSource attaches a shared counter used to stamp events scheduled
-// outside event execution (world construction). Engines sharing one counter
-// give build-time events globally ordered lineage tags.
-func (e *Engine) SetLineageSource(ctr *uint64) { e.lineageCtr = ctr }
-
 // SetProgress installs a progress callback invoked every stride executed
 // events. A nil fn or non-positive stride disables reporting.
 func (e *Engine) SetProgress(stride uint64, fn func(now Time, executed uint64)) {
@@ -157,25 +136,9 @@ func (e *Engine) SetProgress(stride uint64, fn func(now Time, executed uint64)) 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// CurLineage returns the lineage tag of the currently executing event (zero
-// outside execution or on engines without lineage tracking).
-func (e *Engine) CurLineage() uint64 { return e.curLineage }
-
 // At schedules fn to run at instant t. Scheduling in the past (before Now)
 // panics: it always indicates a logic error in a discrete-event model.
 func (e *Engine) At(t Time, fn func()) EventID {
-	lin := e.curLineage
-	if !e.inEvent && e.lineageCtr != nil {
-		*e.lineageCtr++
-		lin = *e.lineageCtr
-	}
-	return e.AtLineage(t, lin, fn)
-}
-
-// AtLineage schedules fn at instant t with an explicit lineage tag. It is
-// the scheduling entry point used by the cross-shard drain, which stamps
-// deliveries in canonical order.
-func (e *Engine) AtLineage(t Time, lineage uint64, fn func()) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -188,11 +151,9 @@ func (e *Engine) AtLineage(t Time, lineage uint64, fn func()) EventID {
 		slot = e.freeSlots[n-1]
 		e.freeSlots = e.freeSlots[:n-1]
 		e.fns[slot] = fn
-		e.lineages[slot] = lineage
 	} else {
 		slot = uint32(len(e.fns))
 		e.fns = append(e.fns, fn)
-		e.lineages = append(e.lineages, lineage)
 		e.gens = append(e.gens, 0)
 		e.pos = append(e.pos, 0)
 	}
@@ -321,14 +282,9 @@ func (e *Engine) fire() {
 	// Vacate before firing: fn may schedule (and reuse the slot), which is
 	// safe because the slot is not touched afterwards.
 	fn := e.fns[top.slot]
-	lin := e.lineages[top.slot]
 	e.vacate(top.slot)
 	e.now = top.at
-	e.inEvent = true
-	e.curLineage = lin
 	fn()
-	e.inEvent = false
-	e.curLineage = 0
 	e.Executed++
 	if e.Progress != nil && e.Executed%e.progressStride == 0 {
 		e.Progress(e.now, e.Executed)
@@ -351,37 +307,6 @@ func (e *Engine) Run(until Time) uint64 {
 		e.now = until
 	}
 	return n
-}
-
-// RunBefore executes pending events with timestamps strictly before w and
-// returns the number executed. Unlike Run it leaves the clock at the last
-// executed event rather than advancing it to the boundary: the caller (the
-// shard coordinator) owns horizon bookkeeping. Stop applies as in Run.
-func (e *Engine) RunBefore(w Time) uint64 {
-	e.stopped = false
-	var n uint64
-	for len(e.queue) > 0 && !e.stopped && e.queue[0].at < w {
-		e.fire()
-		n++
-	}
-	return n
-}
-
-// AdvanceTo moves the clock forward to t without executing anything. Moving
-// backward is a no-op. Used by the coordinator to align shard clocks at the
-// end of a run.
-func (e *Engine) AdvanceTo(t Time) {
-	if t > e.now {
-		e.now = t
-	}
-}
-
-// Next returns the timestamp of the earliest pending event.
-func (e *Engine) Next() (Time, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
 }
 
 // Step executes exactly one event if any is pending and returns whether one

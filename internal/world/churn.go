@@ -55,7 +55,6 @@ func (w *World) EnableChurn(c Churn) *JoinStats {
 	if c.FriendsPerJoiner <= 0 {
 		c.FriendsPerJoiner = 5
 	}
-	w.churnOn = true
 	rnd := w.Root.Child("churn")
 	linkRnd := w.Root.Child("churn/links")
 	meanGap := float64(sim.Year) / c.JoinPerYear
@@ -70,12 +69,9 @@ func (w *World) EnableChurn(c Churn) *JoinStats {
 		}
 		gap := sim.Duration(rnd.ExpFloat64(meanGap))
 		w.Engine.After(gap, func() {
-			// Joiners live on the control shard: arrivals mutate founder
-			// state across shards, which is only safe inside the control
-			// engine's exclusive windows.
 			id := PeerIDOf(len(w.Peers))
-			env := &Env{w: w, id: id, rnd: w.Root.ChildN("joiner", k), eng: w.Engine, shard: 0}
-			p, err := protocol.New(id, w.Cfg.Protocol, costs, env, w.observerFor(0))
+			env := &Env{w: w, id: id, rnd: w.Root.ChildN("joiner", k)}
+			p, err := protocol.New(id, w.Cfg.Protocol, costs, env, w.observerFor())
 			if err != nil {
 				panic(fmt.Sprintf("world: churn join: %v", err))
 			}
@@ -113,7 +109,7 @@ func (w *World) EnableChurn(c Churn) *JoinStats {
 				if err := p.AddAU(replica, friends); err != nil {
 					panic(fmt.Sprintf("world: churn AddAU: %v", err))
 				}
-				w.collectors[0].RegisterReplica(id, spec.ID, replica)
+				w.Metrics.RegisterReplica(id, spec.ID, replica)
 			}
 			// The newcomer trusts its friends from day one, too.
 			for _, spec := range w.specs {
@@ -121,10 +117,7 @@ func (w *World) EnableChurn(c Churn) *JoinStats {
 					p.SeedGrade(spec.ID, f, reputation.Even)
 				}
 			}
-			peer := p
-			w.Net.AddNode(id, netsim.RandomLink(linkRnd), func(from ids.PeerID, payload any, size int) {
-				deliver(w, 0, peer, from, payload)
-			})
+			w.addNode(id, netsim.RandomLink(linkRnd), p)
 			w.Peers = append(w.Peers, p)
 			newcomers = append(newcomers, p)
 			stats.Joined++

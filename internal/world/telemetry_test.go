@@ -20,12 +20,11 @@ func telemetryRun(t *testing.T, cfg Config) (worldFingerprint, map[string]teleme
 	return fp, snaps
 }
 
-// TestTelemetryDeterministicAcrossShards pins the sim-side telemetry
-// contract: attaching a recorder does not perturb the simulation (the
-// fingerprint matches a telemetry-free run bit for bit), and the histograms
-// it records are fed from virtual time, so their snapshots are identical at
-// every shard count.
-func TestTelemetryDeterministicAcrossShards(t *testing.T) {
+// TestTelemetryDeterministic pins the sim-side telemetry contract: attaching
+// a recorder does not perturb the simulation (the fingerprint matches a
+// telemetry-free run bit for bit), and the histograms it records are fed
+// from virtual time, so a second run records identical snapshots.
+func TestTelemetryDeterministic(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Peers = 24
 	cfg.DamageDiskYears = 1
@@ -42,18 +41,16 @@ func TestTelemetryDeterministicAcrossShards(t *testing.T) {
 		t.Errorf("no solicitation→vote latencies recorded: %+v", sv)
 	}
 
-	for _, shards := range []int{2, 8} {
-		c := cfg
-		c.Shards = shards
-		got, gotSnaps := telemetryRun(t, c)
-		if got != ref {
-			t.Errorf("shards=%d fingerprint mismatch:\n got %+v\nwant %+v", shards, got, ref)
-		}
-		for name, want := range refSnaps {
-			if gotSnaps[name] != want {
-				t.Errorf("shards=%d: %s histogram differs:\n got %+v\nwant %+v",
-					shards, name, gotSnaps[name], want)
-			}
+	got, gotSnaps := telemetryRun(t, cfg)
+	if got != ref {
+		t.Errorf("rerun fingerprint mismatch:\n got %+v\nwant %+v", got, ref)
+	}
+	if len(gotSnaps) != len(refSnaps) {
+		t.Errorf("rerun recorded %d histograms, want %d", len(gotSnaps), len(refSnaps))
+	}
+	for name, want := range refSnaps {
+		if gotSnaps[name] != want {
+			t.Errorf("rerun: %s histogram differs:\n got %+v\nwant %+v", name, gotSnaps[name], want)
 		}
 	}
 }

@@ -1,22 +1,13 @@
 // Package world assembles complete simulated LOCKSS populations: the event
 // engine, the network model, loyal peers with their replicas and bootstrap
 // state, the storage-damage process, and metrics collection. Adversaries
-// attach to a World through the hooks it exposes.
-//
-// A world can run sharded (Config.Shards > 1): loyal peers are partitioned
-// into contiguous index ranges, each owned by its own event engine, and a
-// control engine owns every globally-entangled actor (adversaries, minion
-// nodes, churn joiners). The sim.Coordinator interleaves the engines under a
-// conservative window barrier and the network layer drains cross-shard
-// messages in a canonical order, so every observable — event order, metrics,
-// ledgers, RNG streams — is byte-identical at any shard count, including the
-// single-engine legacy path.
+// attach to a World through the hooks it exposes. A world runs on one event
+// engine, so every observable — event order, metrics, ledgers, RNG streams —
+// is a pure function of the Config.
 package world
 
 import (
 	"fmt"
-	"sort"
-	"sync/atomic"
 
 	"lockss/internal/content"
 	"lockss/internal/effort"
@@ -69,12 +60,9 @@ type Config struct {
 	// Telemetry, when non-nil, receives every peer's poll-lifecycle events
 	// teed alongside the metrics collector: the same histograms a real node
 	// records, fed from virtual time. Bucket counts depend only on virtual
-	// timestamps, so histogram snapshots are identical at every shard count;
+	// timestamps, so histogram snapshots are identical from run to run;
 	// the flight-recorder ring's interleaving is not deterministic.
 	Telemetry *telemetry.Telemetry
-	// Shards is the number of parallel peer shards; 0 or 1 selects the
-	// single-engine path. Results are byte-identical at every value.
-	Shards int
 }
 
 // Default returns the paper-scale configuration (one 50-AU layer).
@@ -93,84 +81,50 @@ func Default() Config {
 	}
 }
 
-// chargeRec is one deferred adversary-ledger charge. Charges are logged
-// per shard during the run and replayed into the ledger in canonical
-// (time, shard, log order) at the end, so the ledger's float accumulation
-// order — and hence its exact value — is independent of the shard count.
-type chargeRec struct {
-	t    sim.Time
-	kind string
-	cost effort.Seconds
-}
-
 // World is one assembled simulation.
 type World struct {
 	Cfg Config
-	// Engine is the control engine (the only engine when Shards <= 1):
-	// adversaries and churn schedule on it.
+	// Engine runs every event of the world: peers, damage, adversaries and
+	// churn all schedule on it.
 	Engine *sim.Engine
 	Net    *netsim.Network
 	Peers  []*protocol.Peer
-	// Metrics is the run's aggregate collector. On a sharded world it is
-	// assembled by merging the per-shard collectors after the run; read it
-	// only once Run returns.
+	// Metrics is the run's collector; read it once Run returns.
 	Metrics *metrics.Collector
-	// AdversaryLedger accumulates attacker effort (effortful attacks). It is
-	// populated from the charge log when Run completes; adversaries charge
-	// through ChargeAdversary, not directly.
+	// AdversaryLedger accumulates attacker effort (effortful attacks).
 	AdversaryLedger *effort.Ledger
 	// Root is the root randomness source; adversaries derive children.
 	Root *prng.Source
 
 	specs []content.AUSpec
 
-	// engines[0] == Engine (control); engines[1:] own contiguous peer
-	// ranges. Length 1 on the legacy path.
-	engines []*sim.Engine
-	// collectors and proofCaches parallel engines. collectors[0] observes
-	// control-owned replicas (churn joiners); on the legacy path it is
-	// Metrics itself.
-	collectors []*metrics.Collector
-	// proofCaches intern the boxed symbolic proofs MakeProof hands out, one
-	// cache per shard so peer events never share a map. Effort costs come
-	// from the per-AU cost model, so a run sees only a handful of distinct
-	// values; interning avoids re-boxing an identical immutable SimProof on
-	// every message.
-	proofCaches []map[effort.Seconds]effort.Proof
-	// peerShard maps founder index -> owning engine index.
-	peerShard []int32
-	// lineageCtr is the shared event-lineage counter (see sim.Engine); only
-	// attached when sharded.
-	lineageCtr uint64
-	chargeLog  [][]chargeRec
-	churnOn    bool
-
-	progressEvents uint64
+	// proofCache interns the boxed symbolic proofs MakeProof hands out.
+	// Effort costs come from the per-AU cost model, so a run sees only a
+	// handful of distinct values; interning avoids re-boxing an identical
+	// immutable SimProof on every message.
+	proofCache map[effort.Seconds]effort.Proof
 }
 
-// Env adapts a World to protocol.Env for one peer. Each peer's Env is bound
-// to the engine of the shard that owns the peer.
+// Env adapts a World to protocol.Env for one peer.
 type Env struct {
-	w     *World
-	id    ids.PeerID
-	rnd   *prng.Source
-	eng   *sim.Engine
-	shard int32
+	w   *World
+	id  ids.PeerID
+	rnd *prng.Source
 }
 
 // Now implements protocol.Env.
-func (e *Env) Now() sched.Time { return sched.Time(e.eng.Now()) }
+func (e *Env) Now() sched.Time { return sched.Time(e.w.Engine.Now()) }
 
 // After implements protocol.Env. Engine event IDs are issued from 1, so they
 // serve directly as protocol timer IDs (zero = none) without a cancel
 // closure per timer.
 func (e *Env) After(d sched.Duration, fn func()) protocol.TimerID {
-	return protocol.TimerID(e.eng.After(sim.Duration(d), fn))
+	return protocol.TimerID(e.w.Engine.After(sim.Duration(d), fn))
 }
 
 // Cancel implements protocol.Env.
 func (e *Env) Cancel(t protocol.TimerID) bool {
-	return e.eng.Cancel(sim.EventID(t))
+	return e.w.Engine.Cancel(sim.EventID(t))
 }
 
 // Rand implements protocol.Env.
@@ -184,11 +138,10 @@ func (e *Env) Send(to ids.PeerID, m *protocol.Msg) {
 // MakeProof implements protocol.Env with a symbolic proof; the effort cost
 // is charged by the protocol through the peer's ledger and schedule.
 func (e *Env) MakeProof(ctx []byte, cost effort.Seconds) (effort.Proof, effort.Receipt) {
-	cache := e.w.proofCaches[e.shard]
-	p, ok := cache[cost]
+	p, ok := e.w.proofCache[cost]
 	if !ok {
 		p = effort.SimProof{Effort: cost, Genuine: true}
-		cache[cost] = p
+		e.w.proofCache[cost] = p
 	}
 	return p, effort.SimReceiptFor(ctx, cost)
 }
@@ -209,14 +162,13 @@ func (e *Env) EvalReceipt(ctx []byte, p effort.Proof) (effort.Receipt, bool) {
 // PeerIDOf maps a peer index to its PeerID (1-based).
 func PeerIDOf(index int) ids.PeerID { return ids.PeerID(index + 1) }
 
-// observerFor is the protocol observer for a peer on shard si: the shard's
-// metrics collector, teed into the world's telemetry recorder when one is
-// configured.
-func (w *World) observerFor(si int32) protocol.Observer {
+// observerFor is the protocol observer for a peer: the metrics collector,
+// teed into the world's telemetry recorder when one is configured.
+func (w *World) observerFor() protocol.Observer {
 	if w.Cfg.Telemetry == nil {
-		return w.collectors[si]
+		return w.Metrics
 	}
-	return protocol.TeeObserver(w.collectors[si], w.Cfg.Telemetry)
+	return protocol.TeeObserver(w.Metrics, w.Cfg.Telemetry)
 }
 
 // New assembles a world. Background load hooks (for 600-AU layering) may be
@@ -231,48 +183,16 @@ func New(cfg Config) (*World, error) {
 	if cfg.Peers <= cfg.Protocol.Quorum {
 		return nil, fmt.Errorf("world: population %d cannot sustain quorum %d", cfg.Peers, cfg.Protocol.Quorum)
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > cfg.Peers {
-		shards = cfg.Peers
-	}
 	w := &World{
 		Cfg:             cfg,
 		Engine:          sim.NewEngine(),
 		Metrics:         metrics.NewCollectorSized(cfg.Peers * cfg.AUs),
 		AdversaryLedger: effort.NewLedger(),
 		Root:            prng.New(cfg.Seed),
+		proofCache:      make(map[effort.Seconds]effort.Proof),
 	}
-	if shards == 1 {
-		w.engines = []*sim.Engine{w.Engine}
-		w.collectors = []*metrics.Collector{w.Metrics}
-	} else {
-		w.engines = make([]*sim.Engine, 1+shards)
-		w.collectors = make([]*metrics.Collector, 1+shards)
-		w.engines[0] = w.Engine
-		w.collectors[0] = metrics.NewCollector()
-		for s := 1; s <= shards; s++ {
-			w.engines[s] = sim.NewEngine()
-			w.collectors[s] = metrics.NewCollectorSized(cfg.Peers * cfg.AUs / shards)
-		}
-		for _, e := range w.engines {
-			e.SetLineageSource(&w.lineageCtr)
-		}
-	}
-	w.proofCaches = make([]map[effort.Seconds]effort.Proof, len(w.engines))
-	for i := range w.proofCaches {
-		w.proofCaches[i] = make(map[effort.Seconds]effort.Proof)
-	}
-	w.chargeLog = make([][]chargeRec, len(w.engines))
-
 	// Loyal peers plus a margin for adversary-controlled nodes.
-	var ctr *uint64
-	if len(w.engines) > 1 {
-		ctr = &w.lineageCtr
-	}
-	w.Net = netsim.NewSharded(w.engines, ctr, cfg.Peers+8)
+	w.Net = netsim.NewSized(w.Engine, cfg.Peers+8)
 
 	// AU catalogue.
 	w.specs = make([]content.AUSpec, cfg.AUs)
@@ -295,29 +215,17 @@ func New(cfg Config) (*World, error) {
 	linkRnd := w.Root.Child("links")
 	bootRnd := w.Root.Child("bootstrap")
 
-	// Build peers. Shard assignment is contiguous in peer index, so the
-	// concatenation of shard collectors in shard order reproduces the
-	// single-engine registration order exactly.
+	// Build peers.
 	w.Peers = make([]*protocol.Peer, cfg.Peers)
-	w.peerShard = make([]int32, cfg.Peers)
 	for i := 0; i < cfg.Peers; i++ {
 		id := PeerIDOf(i)
-		si := int32(0)
-		if shards > 1 {
-			si = int32(1 + i*shards/cfg.Peers)
-		}
-		w.peerShard[i] = si
-		env := &Env{w: w, id: id, rnd: w.Root.ChildN("peer", i), eng: w.engines[si], shard: si}
-		p, err := protocol.New(id, cfg.Protocol, costs, env, w.observerFor(si))
+		env := &Env{w: w, id: id, rnd: w.Root.ChildN("peer", i)}
+		p, err := protocol.New(id, cfg.Protocol, costs, env, w.observerFor())
 		if err != nil {
 			return nil, err
 		}
 		w.Peers[i] = p
-		peer := p
-		shard := si
-		w.Net.AddNodeOn(int(si), id, netsim.RandomLink(linkRnd), func(from ids.PeerID, payload any, size int) {
-			deliver(w, shard, peer, from, payload)
-		})
+		w.addNode(id, netsim.RandomLink(linkRnd), p)
 	}
 
 	// Friends lists: a random sample per peer.
@@ -349,60 +257,24 @@ func New(cfg Config) (*World, error) {
 			if err := p.AddAU(replica, refs); err != nil {
 				return nil, err
 			}
-			w.collectors[w.peerShard[i]].RegisterReplica(p.ID(), spec.ID, replica)
+			w.Metrics.RegisterReplica(p.ID(), spec.ID, replica)
 		}
 	}
 	return w, nil
 }
 
-// deliver dispatches one delivered payload to a peer, expanding invitation
-// bursts (see BurstPayload) into individual protocol messages. shard is the
-// engine index the peer lives on.
-func deliver(w *World, shard int32, p *protocol.Peer, from ids.PeerID, payload any) {
-	switch v := payload.(type) {
-	case *protocol.Msg:
-		p.Receive(from, v)
-	case *BurstPayload:
-		v.Deliver(w, shard, p)
-	}
-}
-
-// ChargeAdversary logs attacker effort against the adversary ledger.
-// Adversary code must charge through here (from control-engine events) or
-// via BurstPayload so that charges land in the ledger in an order
-// independent of the shard count; see replayCharges.
-func (w *World) ChargeAdversary(kind string, cost effort.Seconds) {
-	w.logCharge(0, kind, cost)
-}
-
-func (w *World) logCharge(shard int32, kind string, cost effort.Seconds) {
-	w.chargeLog[shard] = append(w.chargeLog[shard], chargeRec{t: w.engines[shard].Now(), kind: kind, cost: cost})
-}
-
-// replayCharges folds the per-shard charge logs into the adversary ledger in
-// canonical order: by charge time, control shard first on ties, per-shard
-// log order last. Each shard's log is already time-sorted (events execute in
-// time order), so a stable sort on time alone realizes the full key. On a
-// single-engine world the log order is exactly the sequential charge order.
-func (w *World) replayCharges() {
-	total := 0
-	for _, l := range w.chargeLog {
-		total += len(l)
-	}
-	if total == 0 {
-		return
-	}
-	all := make([]chargeRec, 0, total)
-	for _, l := range w.chargeLog {
-		all = append(all, l...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].t < all[j].t })
-	for i := range all {
-		w.AdversaryLedger.Charge(all[i].kind, all[i].cost)
-	}
-	for s := range w.chargeLog {
-		w.chargeLog[s] = nil
-	}
+// addNode registers a peer on the network, dispatching each delivered
+// payload to it and expanding invitation bursts (see BurstPayload) into
+// individual protocol messages.
+func (w *World) addNode(id ids.PeerID, link netsim.Link, p *protocol.Peer) {
+	w.Net.AddNode(id, link, func(from ids.PeerID, payload any, size int) {
+		switch v := payload.(type) {
+		case *protocol.Msg:
+			p.Receive(from, v)
+		case *BurstPayload:
+			v.Deliver(w, 0, p)
+		}
+	})
 }
 
 // Specs returns the AU catalogue.
@@ -431,8 +303,7 @@ func (w *World) seedAcquaintance() {
 	}
 }
 
-// startDamage schedules the storage-damage Poisson process on each peer's
-// own shard engine.
+// startDamage schedules the storage-damage Poisson process for each peer.
 func (w *World) startDamage() {
 	if w.Cfg.DamageDiskYears <= 0 {
 		return
@@ -448,19 +319,17 @@ func (w *World) startDamage() {
 	meanGap := float64(sim.Year) / ratePerYear
 	for i, p := range w.Peers {
 		peer := p
-		eng := w.engines[w.peerShard[i]]
-		col := w.collectors[w.peerShard[i]]
 		rnd := w.Root.ChildN("damage", i)
 		var schedule func()
 		schedule = func() {
 			gap := sim.Duration(rnd.ExpFloat64(meanGap))
-			eng.After(gap, func() {
+			w.Engine.After(gap, func() {
 				aus := peer.AUs()
 				au := aus[rnd.Intn(len(aus))]
 				replica := peer.Replica(au)
 				block := rnd.Intn(replica.Spec().Blocks())
 				replica.Damage(block)
-				col.OnDamage(peer.ID(), au, sched.Time(eng.Now()))
+				w.Metrics.OnDamage(peer.ID(), au, sched.Time(w.Engine.Now()))
 				schedule()
 			})
 		}
@@ -476,51 +345,17 @@ func (w *World) Run() {
 		p.Start()
 	}
 	w.startDamage()
-	if len(w.engines) == 1 {
-		w.Engine.Run(sim.Time(w.Cfg.Duration))
-	} else {
-		la := w.Net.LookaheadFloor()
-		if w.churnOn && la > 2*sim.Millisecond {
-			// Churn joiners draw links as they arrive; their latency floor
-			// (1ms each way) must already be covered by the lookahead.
-			la = 2 * sim.Millisecond
-		}
-		coord := &sim.Coordinator{Engines: w.engines, Lookahead: la, Drain: w.Net.Drain}
-		coord.Run(sim.Time(w.Cfg.Duration))
-		w.Net.FoldStats()
-		// Merge per-shard collectors in registration order: founders live on
-		// shards 1..K in contiguous index ranges, churn joiners on control.
-		for s := 1; s < len(w.collectors); s++ {
-			w.Metrics.Merge(w.collectors[s])
-		}
-		w.Metrics.Merge(w.collectors[0])
-	}
-	w.replayCharges()
+	w.Engine.Run(sim.Time(w.Cfg.Duration))
 	w.Metrics.Finalize(sched.Time(w.Engine.Now()))
 }
 
-// EventsExecuted totals executed events across all engines.
-func (w *World) EventsExecuted() uint64 {
-	var n uint64
-	for _, e := range w.engines {
-		n += e.Executed
-	}
-	return n
-}
+// EventsExecuted returns the number of events the world's engine has run.
+func (w *World) EventsExecuted() uint64 { return w.Engine.Executed }
 
-// InstallProgress arranges for fn to be called roughly every stride executed
-// events with the calling engine's virtual time and the total executed-event
-// count. fn may run concurrently from shard goroutines and must be
-// thread-safe.
+// InstallProgress arranges for fn to be called every stride executed events
+// with the engine's virtual time and the executed-event count.
 func (w *World) InstallProgress(stride uint64, fn func(vt sim.Time, events uint64)) {
-	if stride == 0 {
-		return
-	}
-	for _, e := range w.engines {
-		e.SetProgress(stride, func(now sim.Time, _ uint64) {
-			fn(now, atomic.AddUint64(&w.progressEvents, stride))
-		})
-	}
+	w.Engine.SetProgress(stride, fn)
 }
 
 // DefenderEffort sums all loyal peers' ledgers.

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"math"
 	"testing"
 
 	"lockss/internal/effort"
@@ -219,4 +220,64 @@ func TestDefenderEffortAggregation(t *testing.T) {
 			t.Errorf("no %q effort recorded", kind)
 		}
 	}
+}
+
+// worldFingerprint captures every observable of a finished run, with floats
+// kept as exact bit patterns, so two runs compare bit for bit rather than
+// approximately.
+type worldFingerprint struct {
+	events       uint64
+	accessFail   uint64 // Float64bits
+	succPolls    uint64
+	totalPolls   uint64
+	votes        uint64
+	alarms       uint64
+	damageEvents uint64
+	repairsFixed uint64
+	damagedNow   int
+	defEffort    uint64 // Float64bits
+	advEffort    uint64 // Float64bits
+	netSent      uint64
+	netDelivered uint64
+	netDropped   uint64
+	netBytes     uint64
+	joined       int
+}
+
+func fingerprintRun(t *testing.T, cfg Config, churn Churn) (worldFingerprint, []uint64) {
+	t.Helper()
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats *JoinStats
+	if churn.MaxJoins > 0 {
+		stats = w.EnableChurn(churn)
+	}
+	w.Run()
+	fp := worldFingerprint{
+		events:       w.EventsExecuted(),
+		accessFail:   math.Float64bits(w.Metrics.AccessFailureProbability()),
+		succPolls:    w.Metrics.SuccessfulPolls(),
+		totalPolls:   w.Metrics.TotalPolls(),
+		votes:        w.Metrics.VotesSupplied,
+		alarms:       w.Metrics.Alarms,
+		damageEvents: w.Metrics.DamageEvents,
+		repairsFixed: w.Metrics.RepairsFixed,
+		damagedNow:   w.Metrics.DamagedNow(),
+		defEffort:    math.Float64bits(float64(w.DefenderEffort())),
+		advEffort:    math.Float64bits(float64(w.AdversaryLedger.Total)),
+		netSent:      w.Net.Sent,
+		netDelivered: w.Net.Delivered,
+		netDropped:   w.Net.DroppedStoppage,
+		netBytes:     w.Net.BytesDelivered,
+	}
+	ledgers := make([]uint64, 0, len(w.Peers))
+	for _, p := range w.Peers {
+		ledgers = append(ledgers, math.Float64bits(float64(p.Ledger().Total)))
+	}
+	if stats != nil {
+		fp.joined = stats.Joined
+	}
+	return fp, ledgers
 }
